@@ -129,18 +129,24 @@ void Client::send(std::uint64_t key, std::int64_t value, bool is_read,
   for (;;) {
     const std::uint32_t idx = pick_usable(start, nullptr);
     Conn& conn = *conns_[idx];
-    // Window full: push what we have and wait for responses to free
-    // slots. The spin is measured — an open-loop driver's schedule keeps
-    // slipping, so the stall shows up as latency, never as omitted load.
-    // With deadlines armed the spin also reaps expired requests, which is
-    // what lets the driver escape a stalled connection.
+    // Window full: push what we have and sleep until a reader frees a
+    // slot (or the connection fails). The wait is measured — an open-loop
+    // driver's schedule keeps slipping, so the stall shows up as latency,
+    // never as omitted load. With deadlines armed each wake-up also reaps
+    // expired requests and the sleep is bounded by the next deadline,
+    // which is what lets the driver escape a stalled connection.
     if (conn.outstanding.load(std::memory_order_acquire) >= config_.window) {
       flush_conn(conn);
-      while (conn.outstanding.load(std::memory_order_acquire) >=
-                 config_.window &&
-             !conn.failed.load(std::memory_order_acquire)) {
-        if (deadlines_armed()) reap_expired();
-        std::this_thread::yield();
+      for (;;) {
+        const std::uint64_t bound_ns = reap_expired();
+        const util::EventCount::Ticket ticket = progress_.prepare_wait();
+        if (conn.outstanding.load(std::memory_order_acquire) <
+                config_.window ||
+            conn.failed.load(std::memory_order_acquire)) {
+          progress_.cancel_wait();
+          break;
+        }
+        progress_.wait(ticket, bound_ns);
       }
       if (conn.failed.load(std::memory_order_acquire)) continue;  // re-pick
     }
@@ -228,10 +234,13 @@ bool Client::reconnect(Conn& conn, std::uint32_t index) {
   return true;
 }
 
-void Client::reap_expired() {
-  if (!deadlines_armed()) return;
+std::uint64_t Client::reap_expired() {
+  if (!deadlines_armed()) return 0;
   const std::uint64_t now = now_ns();
   std::vector<PendingOp> expired;
+  // Earliest deadline still pending. Retries sent below fall due a full
+  // timeout from now, never before it, so it bounds the next sleep.
+  std::uint64_t next_due = now + config_.request_timeout_ns;
   for (auto& conn : conns_) {
     std::lock_guard<std::mutex> lock(conn->pending_mutex);
     for (auto it = conn->pending.begin(); it != conn->pending.end();) {
@@ -240,6 +249,7 @@ void Client::reap_expired() {
         it = conn->pending.erase(it);
         conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
       } else {
+        next_due = std::min(next_due, it->second.deadline_ns);
         ++it;
       }
     }
@@ -263,6 +273,10 @@ void Client::reap_expired() {
     enqueue_op(*conns_[idx], idx, retry);
     flush_conn(*conns_[idx]);  // retries skip coalescing
   }
+  // Backoff sleeps above may have used up the time to next_due; a 1 ns
+  // bound then makes the caller's wait return at once and reap again.
+  const std::uint64_t after = now_ns();
+  return next_due > after ? next_due - after : 1;
 }
 
 void Client::drain() {
@@ -270,23 +284,26 @@ void Client::drain() {
   // One global in-flight count, not a per-connection sweep: a deadline
   // reap fails a request over to the *next* usable connection, which
   // wraps — a retry can land on a connection this loop already saw, so
-  // only all-connections-simultaneously-zero means drained.
+  // only all-connections-simultaneously-zero means drained. Between
+  // checks the driver sleeps until a reader reports progress; deadline
+  // recovery (reap, bounded sleep) keeps the drain live, so a dead
+  // connection cannot wedge shutdown.
   for (;;) {
+    const std::uint64_t bound_ns = reap_expired();
+    const util::EventCount::Ticket ticket = progress_.prepare_wait();
     std::uint64_t in_flight = 0;
+    bool failed = false;
     for (auto& conn : conns_) {
       in_flight += conn->outstanding.load(std::memory_order_acquire);
-      PQS_REQUIRE(deadlines_armed() ||
-                      !conn->failed.load(std::memory_order_acquire),
+      failed |= conn->failed.load(std::memory_order_acquire);
+    }
+    if (in_flight == 0 || (failed && !deadlines_armed())) {
+      progress_.cancel_wait();
+      PQS_REQUIRE(deadlines_armed() || !failed,
                   "client connection failed while draining");
+      return;
     }
-    if (in_flight == 0) return;
-    if (deadlines_armed()) {
-      // Deadline recovery keeps the drain live: expired requests are
-      // retried elsewhere or abandoned, so a dead connection cannot
-      // wedge shutdown.
-      reap_expired();
-    }
-    std::this_thread::yield();
+    progress_.wait(ticket, bound_ns);
   }
 }
 
@@ -304,6 +321,11 @@ void Client::stop() {
   running_ = false;
 }
 
+void Client::mark_failed(Conn& conn) {
+  conn.failed.store(true, std::memory_order_release);
+  progress_.notify();
+}
+
 void Client::reader_loop(Conn& conn) {
   FrameDecoder decoder(1 << 16);
   std::vector<unsigned char> buf(1 << 16);
@@ -312,7 +334,7 @@ void Client::reader_loop(Conn& conn) {
     const ssize_t n = ::recv(conn.fd, buf.data(), buf.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      conn.failed.store(true, std::memory_order_release);
+      mark_failed(conn);
       return;
     }
     if (n == 0) {
@@ -324,7 +346,7 @@ void Client::reader_loop(Conn& conn) {
         std::lock_guard<std::mutex> lock(conn.pending_mutex);
         in_flight = !conn.pending.empty();
       }
-      if (in_flight) conn.failed.store(true, std::memory_order_release);
+      if (in_flight) mark_failed(conn);
       return;
     }
     std::size_t offset = 0;
@@ -335,7 +357,7 @@ void Client::reader_loop(Conn& conn) {
         const FrameDecoder::Result r = decoder.next(frame);
         if (r == FrameDecoder::Result::kNeedMore) break;
         if (r == FrameDecoder::Result::kError) {
-          conn.failed.store(true, std::memory_order_release);
+          mark_failed(conn);
           return;
         }
         std::uint64_t scheduled = 0;
@@ -358,7 +380,7 @@ void Client::reader_loop(Conn& conn) {
             conn.late_responses.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
-          conn.failed.store(true, std::memory_order_release);
+          mark_failed(conn);
           return;
         }
         const std::uint64_t now = now_ns();
@@ -372,6 +394,7 @@ void Client::reader_loop(Conn& conn) {
           }
         }
         conn.outstanding.fetch_sub(1, std::memory_order_acq_rel);
+        progress_.notify();  // a window slot freed: wake a waiting driver
       }
     }
   }

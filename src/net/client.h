@@ -12,10 +12,11 @@
 // pure round-trip time when unpaced).
 //
 // Pipelining is bounded by `window` outstanding requests per connection:
-// a full window flushes and spins the driver, so client memory stays
-// bounded while the wire stays saturated. With connections = 1 the send
-// order is the wire order, which is the determinism precondition the
-// net_throughput bit-identity gates rely on.
+// a full window flushes and parks the driver until a reader frees a slot
+// (util::EventCount; readers notify on every response and on failure),
+// so client memory stays bounded while the wire stays saturated. With
+// connections = 1 the send order is the wire order, which is the
+// determinism precondition the net_throughput bit-identity gates rely on.
 //
 // Fault tolerance (all opt-in; the defaults preserve the original
 // fail-fast behavior byte for byte, which is what the bit-identity
@@ -24,11 +25,11 @@
 //     (connect_attempts > 1) instead of aborting the run;
 //   * request_timeout_ns > 0 arms a per-request deadline. Expired
 //     requests are reaped on the driver thread (inside the window-full
-//     spin and drain()), retried up to max_retries times under jittered
-//     exponential backoff on the next usable connection (failover), and
-//     abandoned after that — so a stalled, reset, or truncated server
-//     connection degrades one connection's requests instead of wedging
-//     the run;
+//     wait and drain(), whose sleeps are bounded by the next deadline),
+//     retried up to max_retries times under jittered exponential backoff
+//     on the next usable connection (failover), and abandoned after
+//     that — so a stalled, reset, or truncated server connection
+//     degrades one connection's requests instead of wedging the run;
 //   * a failed connection is lazily reconnected by the driver the next
 //     time round-robin lands on it; its in-flight requests are retried.
 // Backoff jitter comes from a dedicated math::Rng stream (retry_seed) —
@@ -50,6 +51,7 @@
 #include "math/rng.h"
 #include "net/frame.h"
 #include "stats/latency_histogram.h"
+#include "util/event_count.h"
 
 namespace pqs::net {
 
@@ -170,8 +172,12 @@ class Client {
   bool reconnect(Conn& conn, std::uint32_t index);
   // Driver-side: scans every connection for requests past their
   // deadline; expired ones are retried (bounded, with backoff, on the
-  // next usable connection) or abandoned. No-op without deadlines.
-  void reap_expired();
+  // next usable connection) or abandoned. Returns how long the driver may
+  // sleep before the next deadline falls due (>= 1 ns); without deadlines
+  // a no-op returning 0, i.e. "no bound".
+  std::uint64_t reap_expired();
+  // Reader-side: flags the connection failed and wakes the driver.
+  void mark_failed(Conn& conn);
   // Appends one frame for `op` to `conn` and registers it in pending.
   void enqueue_op(Conn& conn, std::uint32_t index, const PendingOp& op);
   void backoff_sleep(std::uint64_t base_ns, std::uint64_t cap_ns,
@@ -181,6 +187,9 @@ class Client {
   Config config_;
   bool running_ = false;
   std::vector<std::unique_ptr<Conn>> conns_;
+  // Readers notify after every response and on failure; the driver
+  // sleeps on it in the window-full wait and in drain().
+  util::EventCount progress_;
   std::uint64_t next_id_ = 1;
   std::uint64_t sent_ = 0;
   std::uint32_t next_conn_ = 0;

@@ -109,12 +109,14 @@ void EventLoop::drain_wakeup() {
 }
 
 void EventLoop::run_posted_tasks() {
-  std::vector<std::function<void()>> ready;
+  // Swap with the spare vector rather than a fresh one: both keep their
+  // capacity, so a steady stream of posts stops allocating vector storage.
   {
     std::lock_guard<std::mutex> lock(tasks_mutex_);
-    ready.swap(tasks_);
+    running_tasks_.swap(tasks_);
   }
-  for (auto& task : ready) task();
+  for (auto& task : running_tasks_) task();
+  running_tasks_.clear();
 }
 
 void EventLoop::run_due_timers() {

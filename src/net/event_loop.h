@@ -85,6 +85,9 @@ class EventLoop {
   std::atomic<std::thread::id> loop_thread_{};
   std::mutex tasks_mutex_;
   std::vector<std::function<void()>> tasks_;
+  // Loop-thread-only: the batch run_posted_tasks() is executing. Swapped
+  // with tasks_ each round so neither vector ever gives up its capacity.
+  std::vector<std::function<void()>> running_tasks_;
   std::vector<Timer> timers_;  // min-heap by (due_ns, seq), under tasks_mutex_
   std::uint64_t timer_seq_ = 0;
   // shared_ptr so a handler that removes fds (closing a connection) during

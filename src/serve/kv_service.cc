@@ -69,11 +69,13 @@ KvService::KvService(Config config) : config_(std::move(config)) {
     shard->accesses.assign(shard->cluster->universe_size(), 0);
     shards_.push_back(std::move(shard));
   }
+  wakes_ = std::make_unique<util::EventCount[]>(config_.workers);
 }
 
 KvService::~KvService() {
   if (running_) {
     stopping_.store(true, std::memory_order_release);
+    wake_all_workers();
     for (auto& t : threads_) t.join();
   }
 }
@@ -102,44 +104,61 @@ void KvService::start() {
   }
 }
 
+bool KvService::push(std::uint32_t shard, const Request& request) {
+  if (!shards_[shard]->ring.try_push(request)) return false;
+  // The push is published; wake the owner if it is parked. Without a
+  // sleeper this is one uncontended RMW and no syscall.
+  wakes_[shard % config_.workers].notify();
+  return true;
+}
+
+void KvService::push_or_spin(std::uint32_t shard, const Request& request) {
+  while (!push(shard, request)) {
+    // Ring full: the shard is the bottleneck and its owner is awake
+    // draining it. Spin — the open-loop deadline keeps accruing, so the
+    // stall is measured, not hidden.
+    std::this_thread::yield();
+  }
+}
+
+void KvService::wake_all_workers() {
+  for (std::uint32_t w = 0; w < config_.workers; ++w) wakes_[w].notify();
+}
+
 bool KvService::try_submit(const Request& request) {
-  return shards_[shard_of(request.key)]->ring.try_push(request);
+  return push(shard_of(request.key), request);
 }
 
 void KvService::submit(const Request& request) {
-  Shard& shard = *shards_[shard_of(request.key)];
-  while (!shard.ring.try_push(request)) {
-    // Ring full: the shard is the bottleneck. Spin — the open-loop
-    // deadline keeps accruing, so the stall is measured, not hidden.
-    std::this_thread::yield();
-  }
+  push_or_spin(shard_of(request.key), request);
 }
 
 void KvService::submit_churn(std::uint32_t shard, ChurnKind kind,
                              std::uint64_t arg) {
   PQS_REQUIRE(config_.dynamic_membership, "static membership");
   PQS_REQUIRE(kind != ChurnKind::kNone, "churn kind");
+  PQS_REQUIRE(shard < shards_.size(), "churn shard");
   Request request;
   request.key = arg;
   request.churn = kind;
-  util::MpscRing<Request>& ring = shards_.at(shard)->ring;
-  while (!ring.try_push(request)) std::this_thread::yield();
+  push_or_spin(shard, request);
 }
 
 void KvService::submit_fault(std::uint32_t shard, FaultKind kind,
                              std::uint64_t slot) {
   PQS_REQUIRE(kind != FaultKind::kNone, "fault kind");
   PQS_REQUIRE(slot < config_.quorums->universe_size(), "fault slot");
+  PQS_REQUIRE(shard < shards_.size(), "fault shard");
   Request request;
   request.key = slot;
   request.fault = kind;
-  util::MpscRing<Request>& ring = shards_.at(shard)->ring;
-  while (!ring.try_push(request)) std::this_thread::yield();
+  push_or_spin(shard, request);
 }
 
 void KvService::stop_and_drain() {
   PQS_REQUIRE(running_, "service not running");
   stopping_.store(true, std::memory_order_release);
+  wake_all_workers();
   for (auto& t : threads_) t.join();
   threads_.clear();
   running_ = false;
@@ -170,34 +189,59 @@ std::uint64_t KvService::now_ns() const {
           .count());
 }
 
+bool KvService::owned_rings_empty(std::uint32_t worker) const {
+  for (std::uint32_t s = worker; s < shards_.size(); s += config_.workers) {
+    if (!shards_[s]->ring.empty()) return false;
+  }
+  return true;
+}
+
 void KvService::worker_loop(std::uint32_t worker) {
   // One dequeue buffer per worker, allocated before the hot loop.
   std::vector<Request> batch(config_.batch);
+  util::EventCount& wake = wakes_[worker];
   const std::uint32_t step = config_.workers;
+  std::uint32_t idle_sweeps = 0;
   for (;;) {
     bool progress = false;
     for (std::uint32_t s = worker; s < shards_.size(); s += step) {
       Shard& shard = *shards_[s];
       const std::size_t taken =
           shard.ring.pop_batch(batch.data(), batch.size());
+      if (taken == 0) continue;
       for (std::size_t i = 0; i < taken; ++i) process(shard, batch[i]);
-      progress |= taken > 0;
+      shard.applied.store(
+          shard.applied.load(std::memory_order_relaxed) + taken,
+          std::memory_order_release);
+      progress = true;
     }
-    if (progress) continue;
+    if (progress) {
+      idle_sweeps = 0;
+      continue;
+    }
     if (stopping_.load(std::memory_order_acquire)) {
       // Producers are done and their pushes are visible; one empty sweep
       // over the owned rings means there is nothing left to drain.
-      bool all_empty = true;
-      for (std::uint32_t s = worker; s < shards_.size(); s += step) {
-        if (!shards_[s]->ring.empty()) {
-          all_empty = false;
-          break;
-        }
-      }
-      if (all_empty) return;
-    } else {
-      std::this_thread::yield();
+      if (owned_rings_empty(worker)) return;
+      continue;
     }
+    if (idle_sweeps < kIdleSpinSweeps) {
+      ++idle_sweeps;
+      util::cpu_relax();
+      continue;
+    }
+    // Park. Registering first, then re-checking rings and the stop flag,
+    // is what makes the sleep safe: a push or stop that the re-check
+    // misses is ordered after the registration, so its notify() bumps the
+    // ticket and the wait returns at once (util/event_count.h).
+    const util::EventCount::Ticket ticket = wake.prepare_wait();
+    if (!owned_rings_empty(worker) ||
+        stopping_.load(std::memory_order_acquire)) {
+      wake.cancel_wait();
+    } else {
+      wake.wait(ticket);
+    }
+    idle_sweeps = 0;
   }
 }
 
@@ -283,6 +327,10 @@ void KvService::process(Shard& shard, const Request& request) {
     }
     completion_(done);
   }
+}
+
+std::uint64_t KvService::requests_applied(std::uint32_t shard) const {
+  return shards_.at(shard)->applied.load(std::memory_order_acquire);
 }
 
 const ShardAggregate& KvService::shard_aggregate(std::uint32_t shard) const {

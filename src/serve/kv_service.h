@@ -23,6 +23,25 @@
 // (workload::OpenLoopGenerator), so queueing delay from a backed-up shard
 // is charged to every request that was due while it was busy —
 // coordinated-omission-safe by construction.
+//
+// Idle protocol: an idle service costs (almost) no CPU. A worker that
+// finds every ring it owns empty spins kIdleSpinSweeps sweeps over them
+// (one `pause` each, a few microseconds in all), then parks on its own
+// util::EventCount: it raises its sleeping flag, re-checks its rings and
+// the stop flag, and only if both are still quiet sleeps in FUTEX_WAIT.
+// Who wakes whom: every push onto shard s (try_submit, submit,
+// submit_churn, submit_fault) notifies worker s % workers after the push
+// is published, which costs a syscall only when that worker is asleep;
+// stop_and_drain() and the destructor set the stop flag, then notify
+// every worker. No wakeup is lost: raising the sleeping flag and the
+// producer's notify are seq_cst RMWs on one word, so either the producer
+// sees the flag up and wakes the worker, or the worker's re-check sees
+// the push (or the stop flag) and does not sleep. The first notify lowers
+// the flag, so one park costs at most one wake syscall. Parking changes
+// when a worker runs, never what it computes, so FIFO per shard and the
+// bit-identical aggregates above are untouched. A saturated worker always
+// finds work and never parks; a lightly loaded one pays one futex wakeup
+// per burst.
 #pragma once
 
 #include <atomic>
@@ -41,6 +60,7 @@
 #include "stats/counters.h"
 #include "stats/latency_histogram.h"
 #include "stats/load_profile.h"
+#include "util/event_count.h"
 #include "util/mpsc_ring.h"
 
 namespace pqs::serve {
@@ -239,8 +259,9 @@ class KvService {
   // point's traffic as a stats::snapshot_delta.
   void start();
 
-  // Lock-free submit: routes to the key's shard and pushes. Returns false
-  // when that shard's ring is full (the caller owns backpressure).
+  // Lock-free submit: routes to the key's shard, pushes, and wakes the
+  // shard's worker if it is parked. Returns false when that shard's ring
+  // is full (the caller owns backpressure).
   bool try_submit(const Request& request);
   // Spins until the shard accepts (the bench's backpressure policy: an
   // open-loop driver that outruns the service accrues scheduled-arrival
@@ -262,7 +283,8 @@ class KvService {
   // submission order yields the same aggregates at any worker count.
   void submit_fault(std::uint32_t shard, FaultKind kind, std::uint64_t slot);
 
-  // Flags shutdown, waits for every ring to drain, joins the workers.
+  // Flags shutdown, wakes every parked worker, waits for every ring to
+  // drain, joins the workers.
   // All submits must have completed before the call. The service may be
   // start()ed again afterwards.
   void stop_and_drain();
@@ -275,6 +297,12 @@ class KvService {
   // Nanoseconds since start() on the service's steady clock — the
   // timebase of Request::scheduled_ns.
   std::uint64_t now_ns() const;
+
+  // Requests (served and in-band control) shard `shard` has applied since
+  // construction. Safe to read while running: the owner publishes it
+  // after each dequeued batch, so a caller can watch a parked worker wake
+  // and drain without stopping the service.
+  std::uint64_t requests_applied(std::uint32_t shard) const;
 
   // Post-drain observability (valid after stop_and_drain()).
   const ShardAggregate& shard_aggregate(std::uint32_t shard) const;
@@ -292,6 +320,7 @@ class KvService {
   struct Shard {
     explicit Shard(std::size_t queue_capacity) : ring(queue_capacity) {}
     util::MpscRing<Request> ring;
+    std::atomic<std::uint64_t> applied{0};  // owner writes, anyone reads
     std::unique_ptr<replica::InstantCluster> cluster;
     // Worker-private state below: only the owning worker touches it
     // between start() and stop_and_drain().
@@ -303,6 +332,17 @@ class KvService {
     stats::LatencyHistogram histogram;
   };
 
+  // Empty owned rings a worker sweeps (one cpu_relax() each) before it
+  // parks: long enough to catch back-to-back bursts without a futex
+  // round trip, short enough that an idle worker burns next to nothing.
+  static constexpr std::uint32_t kIdleSpinSweeps = 64;
+
+  // Pushes onto `shard` and notifies its owner; false when the ring is
+  // full. push_or_spin retries until the push lands.
+  bool push(std::uint32_t shard, const Request& request);
+  void push_or_spin(std::uint32_t shard, const Request& request);
+  void wake_all_workers();
+  bool owned_rings_empty(std::uint32_t worker) const;
   void worker_loop(std::uint32_t worker);
   void process(Shard& shard, const Request& request);
 
@@ -310,6 +350,8 @@ class KvService {
   CompletionHandler completion_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> threads_;
+  // One wake word per worker; worker w parks on wakes_[w].
+  std::unique_ptr<util::EventCount[]> wakes_;
   std::atomic<bool> stopping_{false};
   bool running_ = false;
   std::chrono::steady_clock::time_point epoch_{};

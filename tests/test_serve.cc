@@ -8,12 +8,20 @@
 // request lands in exactly one histogram slot and one aggregate), the
 // stale/empty read accounting against majority quorums (which never read
 // stale), and the restart contract (aggregates accumulate across runs,
-// reset_latency clears only the histograms). Tier-1 tests run under the
-// CI TSan job, so the ring handoff and worker shutdown are race-checked.
+// reset_latency clears only the histograms). The idle-protocol tests at
+// the end check that parked workers wake on every submit path and on
+// stop, that no wakeup is lost across thousands of park/wake races, and
+// that an idle service burns next to no CPU. Tier-1 tests run under the
+// CI TSan job, so the ring handoff, the park/wake handshake and worker
+// shutdown are race-checked.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "quorum/threshold.h"
@@ -395,6 +403,173 @@ TEST(KvService, ByzantineChurnAggregatesBitIdenticalAcrossWorkersAndPaths) {
   EXPECT_EQ(base, run(2, DrawPath::kMask));
   EXPECT_EQ(base, run(8, DrawPath::kMask));
   EXPECT_EQ(base, run(2, DrawPath::kAllocating));
+}
+
+// ---------------------------------------------------------- idle protocol
+
+using Clock = std::chrono::steady_clock;
+
+// Long enough for every worker to run out its spin budget and park (the
+// budget is microseconds, even under sanitizers).
+constexpr auto kParkDelay = std::chrono::milliseconds(20);
+
+// Polls `done` until it holds or `seconds` pass. A worker that slept
+// through its wakeup leaves `done` false, so callers fail instead of
+// hanging.
+template <typename Done>
+bool eventually(Done done, double seconds = 5.0) {
+  const auto deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(seconds));
+  while (!done()) {
+    if (Clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+double process_cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) *
+             1e-6;
+}
+
+// The first key the router sends to `shard`.
+std::uint64_t key_on(const KvService& service, std::uint32_t shard) {
+  std::uint64_t key = 0;
+  while (service.shard_of(key) != shard) ++key;
+  return key;
+}
+
+TEST(KvServiceIdle, ParkedWorkersWakeOnEverySubmitPath) {
+  // 4 shards on 2 workers: each push must wake the owner of its shard,
+  // which is parked every time — nothing else is pushed meanwhile.
+  KvService::Config cfg = base_config(4, 2, replica::DrawPath::kMask);
+  cfg.dynamic_membership = true;
+  KvService service(cfg);
+  service.start();
+  std::vector<std::uint64_t> expected(service.shards(), 0);
+  const auto after_park = [&](const char* path, std::uint32_t shard,
+                              const auto& submit) {
+    std::this_thread::sleep_for(kParkDelay);
+    submit();
+    ++expected[shard];
+    EXPECT_TRUE(eventually([&] {
+      return service.requests_applied(shard) == expected[shard];
+    })) << path << " never woke the parked owner of shard " << shard;
+  };
+  for (std::uint32_t shard = 0; shard < service.shards(); ++shard) {
+    Request req;
+    req.key = key_on(service, shard);
+    req.scheduled_ns = service.now_ns();
+    after_park("try_submit", shard,
+               [&] { ASSERT_TRUE(service.try_submit(req)); });
+    req.is_read = true;
+    after_park("submit", shard, [&] { service.submit(req); });
+    after_park("submit_churn", shard,
+               [&] { service.submit_churn(shard, ChurnKind::kReplace); });
+    after_park("submit_fault", shard, [&] {
+      service.submit_fault(shard, FaultKind::kCorrect, 0);
+    });
+  }
+  service.stop_and_drain();
+  const ShardAggregate fold = service.fold_aggregates();
+  EXPECT_EQ(fold.writes, service.shards());
+  EXPECT_EQ(fold.reads, service.shards());
+  EXPECT_EQ(fold.churn_events, service.shards());
+  EXPECT_EQ(fold.fault_events, service.shards());
+}
+
+TEST(KvServiceIdle, StopAndDestructorReturnPromptlyWhileWorkersPark) {
+  // A lost stop wakeup would leave a worker asleep and the join hanging
+  // (until ctest's timeout); a prompt return is the pass condition.
+  {
+    KvService service(base_config(4, 4, replica::DrawPath::kMask));
+    service.start();
+    std::this_thread::sleep_for(kParkDelay);
+    const auto start = Clock::now();
+    service.stop_and_drain();
+    EXPECT_LT(std::chrono::duration<double>(Clock::now() - start).count(),
+              1.0);
+    // Restart on the same wake words: the second run parks and stops too.
+    service.start();
+    std::this_thread::sleep_for(kParkDelay);
+    service.stop_and_drain();
+  }
+  const auto start = Clock::now();
+  {
+    KvService service(base_config(4, 4, replica::DrawPath::kMask));
+    service.start();
+    std::this_thread::sleep_for(kParkDelay);
+  }  // the destructor stops the parked workers
+  EXPECT_LT(std::chrono::duration<double>(Clock::now() - start).count() -
+                std::chrono::duration<double>(kParkDelay).count(),
+            1.0);
+}
+
+TEST(KvServiceIdle, OneRequestBurstsAcrossTheSpinBudgetNeverStall) {
+  // Thousands of single requests, each awaited before the next, separated
+  // by gaps of 0-15 us (and now and then 100 us): they land while the
+  // owner still spins, just as it registers to park, and after it sleeps
+  // — every side of the park/wake race, many times over.
+  constexpr std::uint64_t kBursts = 10000;
+  KvService service(base_config(4, 2, replica::DrawPath::kMask));
+  std::atomic<std::uint64_t> completed{0};
+  service.set_completion([&completed](const Completion&) {
+    completed.fetch_add(1, std::memory_order_release);
+  });
+  service.start();
+  Request req;
+  req.wants_reply = true;
+  for (std::uint64_t i = 0; i < kBursts; ++i) {
+    const auto gap = std::chrono::microseconds(i % 64 == 63 ? 100 : i % 16);
+    const auto until = Clock::now() + gap;
+    while (Clock::now() < until) {
+    }
+    req.key = i * 7919;
+    req.value = static_cast<std::int64_t>(i);
+    req.is_read = i % 3 != 0;
+    req.scheduled_ns = service.now_ns();
+    if (i % 2 == 0) {
+      ASSERT_TRUE(service.try_submit(req));  // one in flight: never full
+    } else {
+      service.submit(req);
+    }
+    ASSERT_TRUE(eventually([&] {
+      return completed.load(std::memory_order_acquire) == i + 1;
+    })) << "request " << i << " was never served: a lost wakeup";
+  }
+  service.stop_and_drain();
+  EXPECT_EQ(service.merged_histogram().count(), kBursts);
+}
+
+TEST(KvServiceIdle, IdleServiceBurnsAlmostNoCpu) {
+  KvService service(base_config(4, 2, replica::DrawPath::kMask));
+  service.start();
+  // Serve a little first, so the workers park after real work rather
+  // than only from a cold start.
+  Request req;
+  for (std::uint64_t key = 0; key < 100; ++key) {
+    req.key = key;
+    service.submit(req);
+  }
+  ASSERT_TRUE(eventually([&] {
+    std::uint64_t applied = 0;
+    for (std::uint32_t s = 0; s < service.shards(); ++s) {
+      applied += service.requests_applied(s);
+    }
+    return applied == 100;
+  }));
+  std::this_thread::sleep_for(kParkDelay);
+  const double before = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double burnt = process_cpu_seconds() - before;
+  // Two spinning workers would burn ~0.4 s of CPU in these 200 ms; parked
+  // ones burn nothing. A quarter of one thread is the ceiling.
+  EXPECT_LT(burnt, 0.05) << "idle workers burnt " << burnt << " s of CPU";
+  service.stop_and_drain();
 }
 
 }  // namespace
