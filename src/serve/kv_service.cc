@@ -230,10 +230,10 @@ void KvService::worker_loop(std::uint32_t worker) {
       util::cpu_relax();
       continue;
     }
-    // Park. Registering first, then re-checking rings and the stop flag,
-    // is what makes the sleep safe: a push or stop that the re-check
-    // misses is ordered after the registration, so its notify() bumps the
-    // ticket and the wait returns at once (util/event_count.h).
+    // Park. Raising the sleeping flag first, then re-checking rings and
+    // the stop flag, is what makes the sleep safe: a push or stop that
+    // the re-check misses is ordered after the raise, so its notify()
+    // bumps the ticket and the wait returns at once (util/event_count.h).
     const util::EventCount::Ticket ticket = wake.prepare_wait();
     if (!owned_rings_empty(worker) ||
         stopping_.load(std::memory_order_acquire)) {

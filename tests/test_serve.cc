@@ -413,14 +413,11 @@ using Clock = std::chrono::steady_clock;
 // budget is microseconds, even under sanitizers).
 constexpr auto kParkDelay = std::chrono::milliseconds(20);
 
-// Polls `done` until it holds or `seconds` pass. A worker that slept
-// through its wakeup leaves `done` false, so callers fail instead of
-// hanging.
+// Polls `done` until it holds or 5 s pass. A worker that slept through
+// its wakeup leaves `done` false, so callers fail instead of hanging.
 template <typename Done>
-bool eventually(Done done, double seconds = 5.0) {
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(seconds));
+bool eventually(Done done) {
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
   while (!done()) {
     if (Clock::now() > deadline) return false;
     std::this_thread::yield();
